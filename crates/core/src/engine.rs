@@ -50,7 +50,7 @@ use rprism_vm::{run_traced, RunOutcome, RuntimeError, VmConfig};
 
 use rprism_obs::Obs;
 
-use crate::ingest::{stream_prepare_timed, StreamedArtifacts};
+use crate::ingest::{stream_prepare, StreamedArtifacts};
 use crate::watch::{Watch, WatchOutcome};
 use crate::{Error, Result};
 
@@ -726,24 +726,20 @@ impl Engine {
     /// storage abstraction, a network peer streaming an upload straight into
     /// preparation, or a test harness wrapping the source in a fault-injection shim.
     ///
-    /// `Send` is required because the parallel ingest pipeline moves the reader onto
-    /// a decode thread.
-    ///
     /// # Errors
     ///
     /// Returns [`crate::Error::Format`] when the stream is empty, truncated, corrupt,
     /// or uses an unsupported format version.
-    pub fn load_prepared_reader(&self, input: impl std::io::Read + Send) -> Result<PreparedTrace> {
+    pub fn load_prepared_reader(&self, input: impl std::io::Read) -> Result<PreparedTrace> {
         let _load = self.obs.span("engine.load");
         let reader = TraceReader::new(BufReader::new(input))?;
         let (artifacts, phases) = match &self.ingest_check {
-            None => stream_prepare_timed(reader, self.parallel, |_| {})?,
+            None => stream_prepare(reader, |_| {})?,
             Some(gate) => {
                 // The checker rides the ingest pass as its entry observer: one decode,
                 // both the artifacts and the report, same memory bound.
                 let mut checker = Checker::with_config(gate.config.clone());
-                let (artifacts, phases) =
-                    stream_prepare_timed(reader, self.parallel, |entry| checker.observe(entry))?;
+                let (artifacts, phases) = stream_prepare(reader, |entry| checker.observe(entry))?;
                 let mut report = checker.finish();
                 report.trace_name = artifacts.meta.name.clone();
                 if report.count_at_least(gate.deny) > 0 {

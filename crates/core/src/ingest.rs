@@ -11,24 +11,24 @@
 //! [`stream_prepare`] instead drives the [`TraceReader`] batch by batch and folds
 //! **abstraction into ingestion** (the tracer-driver/TAAF design): as each entry is
 //! decoded it is interned and keyed, appended to the incrementally extended view web,
-//! and reduced to its [`LeanTrace`] context — then dropped. At no point does more than
-//! a bounded window of decoded entries exist:
+//! and reduced to its [`LeanTrace`] context — then dropped. The whole pass runs on the
+//! calling thread, one batch at a time: decode a batch, key it and reduce it to lean
+//! context, extend the web with it, then decode the next batch into the same buffer.
+//! At most one batch of [`BATCH_ENTRIES`] decoded entries is alive at any instant.
 //!
-//! * sequentially, one batch of [`BATCH_ENTRIES`] entries is alive at a time;
-//! * in parallel mode, the decoder feeds a scoped-thread pipeline over bounded
-//!   channels of entry batches — stage one builds the keyed trace and the lean
-//!   context, then forwards the batch; stage two extends the web, then drops it — so
-//!   at most `(2 × channel capacity + 3) × batch size` decoded entries are in flight
-//!   while decoding overlaps artifact construction.
+//! There are no worker threads. Running the three stages as a pipeline over bounded
+//! channels was measured slower than this sequential fold on a two-core host: the
+//! per-batch stages are short, so channel hand-offs and cache traffic between cores
+//! cost more than the overlap saves.
 //!
 //! Peak memory is therefore O(accumulated artifacts) — lean contexts, keys, web —
 //! rather than O(decoded trace); the `streaming_ingest` measurement of `perf_smoke`
 //! (BENCH_4.json) and the counting-allocator test in `crates/core/tests` pin the
 //! resulting ≥2× peak reduction down.
 //!
-//! Both builders produce artifacts *identical* to the load-then-prepare path: the web
-//! is extended in entry order ([`ViewWeb::extend`]), keys are pushed in entry order,
-//! and the lean context captures exactly the fields the differencer and the regression
+//! The pass produces artifacts *identical* to the load-then-prepare path: the web is
+//! extended in entry order ([`ViewWeb::extend`]), keys are pushed in entry order, and
+//! the lean context captures exactly the fields the differencer and the regression
 //! analysis read. The workspace-level `streaming_equivalence` suite asserts identical
 //! matchings, difference signatures and compare counts on all four case studies.
 //!
@@ -40,19 +40,15 @@
 //! [`Engine::load_trace`](crate::Engine::load_trace).
 
 use std::io::BufRead;
-use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use rprism_format::{FormatError, TraceReader};
 use rprism_trace::{KeyedTrace, LeanTrace, TraceEntry, TraceMeta};
 use rprism_views::ViewWeb;
 
-/// Entries decoded per batch. Batching amortizes channel traffic; the value bounds the
-/// number of fully decoded entries alive at any instant.
+/// Entries decoded per batch. Batching amortizes per-call dispatch and timing; the
+/// value bounds the number of fully decoded entries alive at any instant.
 pub const BATCH_ENTRIES: usize = 256;
-
-/// Batches buffered per pipeline channel before the sender blocks (back-pressure).
-const CHANNEL_BATCHES: usize = 2;
 
 /// The artifacts one streaming pass accumulates: everything a prepared handle needs,
 /// with the full trace replaced by its [`LeanTrace`] reduction.
@@ -82,8 +78,8 @@ impl StreamedArtifacts {
 
 /// Wall time the three ingest phases accumulated over one streaming pass. Timing is
 /// per batch (two `Instant` reads per phase per 256 entries), so the cost of always
-/// collecting it is noise; in parallel mode the phases overlap, so the components can
-/// legitimately sum to more than the pass's elapsed wall time.
+/// collecting it is noise. The phases run one after another on one thread and never
+/// overlap, so their sum is at most the pass's elapsed wall time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
     /// Decoding batches off the reader (checksums, varints, string heap).
@@ -95,9 +91,17 @@ pub struct PhaseTimes {
 }
 
 /// Drives a [`TraceReader`] to completion, building the prepared artifacts in one
-/// bounded-memory pass. With `parallel` set, keyed/web/lean construction runs on
-/// scoped worker threads fed by bounded channels of entry batches, overlapping with
-/// decoding; the results are identical either way.
+/// bounded-memory pass on the calling thread, and reports how long each ingest phase
+/// took ([`PhaseTimes`]; the engine records them into the `pipeline.decode` /
+/// `pipeline.key` / `pipeline.web` histograms).
+///
+/// `observe` is called once for every decoded entry, in entry order, while the entry
+/// is still alive — before the pass keys it and drops it. This is how ingest-time
+/// analyses (the `rprism-check` streaming checker behind
+/// `EngineBuilder::check_on_ingest`) see every entry without a second decode pass and
+/// without the ingest layer depending on them. The observer shares the pass's memory
+/// bound: it borrows each entry transiently and must not retain it. Pass `|_| {}`
+/// when nothing rides along.
 ///
 /// # Errors
 ///
@@ -106,58 +110,10 @@ pub struct PhaseTimes {
 /// dropped with the call frame, so a failed ingest leaves no residue beyond interned
 /// name strings (see the module docs).
 pub fn stream_prepare<R: BufRead>(
-    reader: TraceReader<R>,
-    parallel: bool,
-) -> Result<StreamedArtifacts, FormatError> {
-    stream_prepare_observed(reader, parallel, |_| {})
-}
-
-/// [`stream_prepare`] with a per-entry observer: `observe` is called once for every
-/// decoded entry, in entry order, on the calling thread, while the entry is still
-/// alive — before the pipeline consumes and drops it. This is how ingest-time
-/// analyses (the `rprism-check` streaming checker behind
-/// `EngineBuilder::check_on_ingest`) see every entry without a second decode pass and
-/// without the ingest layer depending on them.
-///
-/// The observer shares the pass's memory bound: it borrows each entry transiently and
-/// must not retain it.
-///
-/// # Errors
-///
-/// Propagates the first [`FormatError`] of the stream, like [`stream_prepare`].
-pub fn stream_prepare_observed<R: BufRead>(
-    reader: TraceReader<R>,
-    parallel: bool,
-    observe: impl FnMut(&TraceEntry),
-) -> Result<StreamedArtifacts, FormatError> {
-    stream_prepare_timed(reader, parallel, observe).map(|(artifacts, _)| artifacts)
-}
-
-/// [`stream_prepare_observed`], additionally reporting how long each ingest phase
-/// took ([`PhaseTimes`]). This is what the engine's pipeline instrumentation records
-/// into the `pipeline.decode` / `pipeline.key` / `pipeline.web` histograms.
-///
-/// # Errors
-///
-/// Propagates the first [`FormatError`] of the stream, like [`stream_prepare`].
-pub fn stream_prepare_timed<R: BufRead>(
     mut reader: TraceReader<R>,
-    parallel: bool,
     mut observe: impl FnMut(&TraceEntry),
 ) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
     let meta = reader.meta().clone();
-    if parallel {
-        stream_parallel(reader, meta, &mut observe)
-    } else {
-        stream_sequential(&mut reader, meta, &mut observe)
-    }
-}
-
-fn stream_sequential<R: BufRead>(
-    reader: &mut TraceReader<R>,
-    meta: TraceMeta,
-    observe: &mut impl FnMut(&TraceEntry),
-) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
     let mut lean = LeanTrace::new(meta.clone());
     let mut keyed = KeyedTrace::default();
     let mut web = ViewWeb::empty();
@@ -198,103 +154,6 @@ fn stream_sequential<R: BufRead>(
     ))
 }
 
-/// One decoded batch moving through the pipeline: the base entry index plus the
-/// entries themselves. Each stage owns the batch while working on it; the last stage
-/// drops it, reclaiming its memory.
-type Batch = (usize, Vec<TraceEntry>);
-
-fn stream_parallel<R: BufRead>(
-    mut reader: TraceReader<R>,
-    meta: TraceMeta,
-    observe: &mut impl FnMut(&TraceEntry),
-) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
-    let (stage1_tx, stage1_rx) = sync_channel::<Batch>(CHANNEL_BATCHES);
-    let (stage2_tx, stage2_rx) = sync_channel::<Batch>(CHANNEL_BATCHES);
-    let lean_meta = meta.clone();
-    std::thread::scope(|scope| {
-        // Stage 1: keys + lean context, then hand the batch on (no copy, no sharing).
-        let keyed_builder = scope.spawn(move || {
-            let mut keyed = KeyedTrace::default();
-            let mut lean = LeanTrace::new(lean_meta);
-            let mut busy = Duration::ZERO;
-            while let Ok(batch) = stage1_rx.recv() {
-                let start = Instant::now();
-                for entry in &batch.1 {
-                    keyed.push_entry(entry);
-                    lean.push(entry);
-                }
-                busy += start.elapsed();
-                if stage2_tx.send(batch).is_err() {
-                    break; // stage 2 panicked; the join below propagates it
-                }
-            }
-            (keyed, lean, busy)
-        });
-        // Stage 2: view web, then drop the batch — the only place entries die.
-        let web_builder = scope.spawn(move || {
-            let mut web = ViewWeb::empty();
-            let mut busy = Duration::ZERO;
-            while let Ok(batch) = stage2_rx.recv() {
-                let start = Instant::now();
-                for (offset, entry) in batch.1.iter().enumerate() {
-                    web.extend(batch.0 + offset, entry);
-                }
-                busy += start.elapsed();
-            }
-            (web, busy)
-        });
-
-        let mut base = 0usize;
-        let mut decode = Duration::ZERO;
-        let mut outcome: Result<(), FormatError> = Ok(());
-        loop {
-            let mut batch = Vec::with_capacity(BATCH_ENTRIES);
-            let decode_start = Instant::now();
-            let read = reader.read_batch(&mut batch, BATCH_ENTRIES);
-            decode += decode_start.elapsed();
-            match read {
-                Ok(0) => break,
-                Ok(n) => {
-                    // The observer runs on the decode thread, in entry order, before
-                    // the batch enters the pipeline.
-                    for entry in &batch {
-                        observe(entry);
-                    }
-                    // A send only fails when a builder panicked; the join below
-                    // propagates that panic.
-                    if stage1_tx.send((base, batch)).is_err() {
-                        break;
-                    }
-                    base += n;
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        // Closing the channel lets the pipeline drain and finish.
-        drop(stage1_tx);
-        let (keyed, lean, key) = keyed_builder.join().expect("keyed/lean builder panicked");
-        let (web, web_busy) = web_builder.join().expect("web builder panicked");
-        outcome.map(|()| {
-            (
-                StreamedArtifacts {
-                    meta,
-                    lean,
-                    keyed,
-                    web,
-                },
-                PhaseTimes {
-                    decode,
-                    key,
-                    web: web_busy,
-                },
-            )
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,10 +161,10 @@ mod tests {
     use rprism_trace::testgen::{arbitrary_trace, Rng};
     use std::io::BufReader;
 
-    fn streamed(trace: &rprism_trace::Trace, parallel: bool) -> StreamedArtifacts {
+    fn streamed(trace: &rprism_trace::Trace) -> StreamedArtifacts {
         let bytes = trace_to_bytes(trace, Encoding::Binary).unwrap();
         let reader = TraceReader::new(BufReader::new(bytes.as_slice())).unwrap();
-        stream_prepare(reader, parallel).unwrap()
+        stream_prepare(reader, |_| {}).unwrap().0
     }
 
     #[test]
@@ -314,25 +173,23 @@ mod tests {
         let trace = arbitrary_trace(&mut rng, 1500);
         let reference_keyed = KeyedTrace::build(&trace);
         let reference_web = ViewWeb::build(&trace);
-        for parallel in [false, true] {
-            let artifacts = streamed(&trace, parallel);
-            assert_eq!(artifacts.meta, trace.meta);
-            assert_eq!(artifacts.len(), trace.len());
-            assert_eq!(artifacts.keyed.len(), reference_keyed.len());
-            for i in 0..trace.len() {
-                assert!(
-                    artifacts.keyed.key_eq(i, &reference_keyed, i),
-                    "key {i} diverged (parallel={parallel})"
-                );
-            }
-            assert_eq!(artifacts.web.total_views(), reference_web.total_views());
-            for (id, view) in reference_web.views_with_ids() {
-                assert_eq!(
-                    artifacts.web.view_by_id(id).entries,
-                    view.entries,
-                    "view {id:?} diverged (parallel={parallel})"
-                );
-            }
+        let artifacts = streamed(&trace);
+        assert_eq!(artifacts.meta, trace.meta);
+        assert_eq!(artifacts.len(), trace.len());
+        assert_eq!(artifacts.keyed.len(), reference_keyed.len());
+        for i in 0..trace.len() {
+            assert!(
+                artifacts.keyed.key_eq(i, &reference_keyed, i),
+                "key {i} diverged"
+            );
+        }
+        assert_eq!(artifacts.web.total_views(), reference_web.total_views());
+        for (id, view) in reference_web.views_with_ids() {
+            assert_eq!(
+                artifacts.web.view_by_id(id).entries,
+                view.entries,
+                "view {id:?} diverged"
+            );
         }
     }
 
@@ -341,10 +198,8 @@ mod tests {
         let mut rng = Rng::new(0xdead);
         let trace = arbitrary_trace(&mut rng, 300);
         let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
-        for parallel in [false, true] {
-            let cut = &bytes[..bytes.len() * 2 / 3];
-            let reader = TraceReader::new(BufReader::new(cut)).unwrap();
-            assert!(stream_prepare(reader, parallel).is_err());
-        }
+        let cut = &bytes[..bytes.len() * 2 / 3];
+        let reader = TraceReader::new(BufReader::new(cut)).unwrap();
+        assert!(stream_prepare(reader, |_| {}).is_err());
     }
 }

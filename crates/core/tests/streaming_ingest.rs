@@ -9,12 +9,25 @@
 //! * truncation or corruption mid-stream surfaces as an error and leaves the engine
 //!   clean and reusable: subsequent loads and diffs work, and the failed load retains
 //!   no live memory beyond interner growth.
+//!
+//! The counters are process-global, so each test holds [`measuring`]'s lock for its
+//! whole body: the default parallel harness would otherwise charge one test's
+//! allocations to the other's measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests that read `LIVE`/`PEAK`. The lock guards no data, so a
+/// sibling test that panicked while holding it leaves nothing to repair.
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct TrackingAllocator;
 
@@ -79,6 +92,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn streaming_ingest_allocates_artifacts_not_the_trace() {
+    let _serial = measuring();
     let dir = temp_dir("bound");
     let path = dir.join("large.rtr");
     {
@@ -109,8 +123,8 @@ fn streaming_ingest_allocates_artifacts_not_the_trace() {
     assert_eq!(streamed.len(), 20_000);
     // Peak: the streaming pass must stay well under load-then-prepare, which holds the
     // decoded trace *and* the artifacts simultaneously. The 2x bound is the acceptance
-    // criterion; the pipeline's in-flight window is a small constant on top of the
-    // artifacts.
+    // criterion; the single decoded batch alive at a time is a small constant on top
+    // of the artifacts.
     assert!(
         streamed_peak * 2 <= full_peak,
         "streaming peak {streamed_peak} not at least 2x below load-then-prepare peak {full_peak}"
@@ -126,6 +140,7 @@ fn streaming_ingest_allocates_artifacts_not_the_trace() {
 
 #[test]
 fn failed_streaming_loads_leave_the_engine_clean_and_reusable() {
+    let _serial = measuring();
     let dir = temp_dir("clean");
     let good = dir.join("good.rtr");
     let truncated = dir.join("truncated.rtr");

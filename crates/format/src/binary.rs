@@ -79,6 +79,10 @@ const KIND_END: u8 = 0x07;
 const OBJ_HAS_LOC: u8 = 0x01;
 const OBJ_HAS_SEQ: u8 = 0x02;
 
+/// Bytes the reader asks its input for whenever its window runs dry. A constant, never
+/// a length read from the input, so no field of a damaged stream can size this read.
+const READ_AHEAD: usize = 8 * 1024;
+
 /// FNV-1a 64 running checksum (deterministic across platforms and Rust versions, like
 /// the fingerprint hash in `rprism-trace`). This is the integrity hash of the whole
 /// format layer: the binary footer checksum, the per-frame checksum of the wire
@@ -319,7 +323,8 @@ impl<W: Write> BinaryTraceWriter<W> {
 }
 
 /// Streaming reader of the binary encoding: one entry is decoded (and handed out) at a
-/// time; memory use is bounded by the string table plus a single entry.
+/// time; memory use is bounded by the string table, a single entry and a read-ahead
+/// window of one record plus 8 KiB.
 ///
 /// The string table is **file-local** (`Vec<Box<str>>`), deliberately not the
 /// process-global interner: interned strings are leaked for the process lifetime, so
@@ -329,7 +334,7 @@ impl<W: Write> BinaryTraceWriter<W> {
 /// for analysis — at that point the trace has been fully validated.
 pub struct BinaryTraceReader<R: Read> {
     input: R,
-    offset: u64,
+    /// Checksum of every committed byte, folded once per record at [`Self::commit`].
     hash: Fnv64,
     meta: TraceMeta,
     /// File-local string id → string (dropped with the reader).
@@ -339,22 +344,32 @@ pub struct BinaryTraceReader<R: Read> {
     fields: Vec<Option<FieldName>>,
     entries_read: u64,
     done: bool,
-    /// Bytes consumed from `input` since the last committed record boundary, retained
-    /// so an incomplete record can be re-decoded after the source grows (a tailed file
-    /// or a byte stream that ends mid-record is a *state*, not necessarily an error).
+    /// The read-ahead window over `input`. `replay[..start]` is committed (hashed and
+    /// awaiting reuse), `replay[start..pos]` is the record being decoded,
+    /// `replay[pos..filled]` is read ahead and `replay[filled..]` is spare room for
+    /// the next read. The bytes since the last committed record boundary are
+    /// retained so an incomplete record can be re-decoded after the source grows (a
+    /// tailed file or a byte stream that ends mid-record is a *state*, not
+    /// necessarily an error).
     replay: Vec<u8>,
-    replay_pos: usize,
+    /// Index of the first uncommitted byte: the start of the record being decoded.
+    start: usize,
+    /// Index of the next byte to decode.
+    pos: usize,
+    /// Index one past the last byte read from `input`.
+    filled: usize,
+    /// Stream offset of `replay[0]`.
+    base: u64,
     /// Where the last incomplete read ran dry, for strict-mode truncation reports.
     dry_offset: u64,
 }
 
-/// Rollback point for one record decode: everything a partial decode may have mutated.
-/// The replay buffer itself is not part of the checkpoint — restoring simply rewinds
-/// `replay_pos` to serve the same bytes again.
+/// Rollback point for one record decode: the table state a partial decode may have
+/// mutated. The window is not part of the checkpoint — restoring rewinds `pos` to the
+/// committed start to serve the same bytes again, and the checksum only ever folds
+/// committed bytes.
 #[derive(Clone, Copy)]
 struct Checkpoint {
-    offset: u64,
-    hash: Fnv64,
     strings: usize,
     entries_read: u64,
 }
@@ -364,7 +379,6 @@ impl<R: Read> BinaryTraceReader<R> {
     pub fn new(input: R) -> Result<Self> {
         let mut reader = BinaryTraceReader {
             input,
-            offset: 0,
             hash: Fnv64::new(),
             meta: TraceMeta::default(),
             strings: Vec::new(),
@@ -373,16 +387,19 @@ impl<R: Read> BinaryTraceReader<R> {
             entries_read: 0,
             done: false,
             replay: Vec::new(),
-            replay_pos: 0,
+            start: 0,
+            pos: 0,
+            filled: 0,
+            base: 0,
             dry_offset: 0,
         };
         let mut magic = [0u8; 4];
-        reader.read_hashed(&mut magic)?;
+        reader.read_raw(&mut magic)?;
         if magic != MAGIC {
             return Err(FormatError::BadMagic { found: magic });
         }
         let mut word = [0u8; 2];
-        reader.read_hashed(&mut word)?;
+        reader.read_raw(&mut word)?;
         let version = u16::from_le_bytes(word);
         if version != FORMAT_VERSION {
             return Err(FormatError::UnsupportedVersion {
@@ -390,7 +407,7 @@ impl<R: Read> BinaryTraceReader<R> {
                 supported: FORMAT_VERSION,
             });
         }
-        reader.read_hashed(&mut word)?;
+        reader.read_raw(&mut word)?;
         let flags = u16::from_le_bytes(word);
         if flags != 0 {
             return Err(FormatError::Corrupt {
@@ -411,23 +428,46 @@ impl<R: Read> BinaryTraceReader<R> {
         &self.meta
     }
 
-    /// The next byte, served from the replay buffer first, then from the input (and
-    /// recorded for replay). `None` means the input has no byte *right now* — a clean
-    /// end for a complete stream, a wait state for a growing one.
+    /// Absolute stream offset of the next byte to decode.
+    fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    /// The next byte of the window, reading ahead when it has run dry. `None` means
+    /// the input has no byte *right now* — a clean end for a complete stream, a wait
+    /// state for a growing one.
+    #[inline]
     fn pull_byte(&mut self) -> Result<Option<u8>> {
-        if self.replay_pos < self.replay.len() {
-            let b = self.replay[self.replay_pos];
-            self.replay_pos += 1;
-            return Ok(Some(b));
+        if self.pos == self.filled && !self.fill()? {
+            return Ok(None);
         }
-        let mut byte = [0u8; 1];
+        let b = self.replay[self.pos];
+        self.pos += 1;
+        Ok(Some(b))
+    }
+
+    /// Appends the next chunk of input (at least [`READ_AHEAD`] bytes of room) to the
+    /// exhausted window, first moving the uncommitted record to the front. Returns
+    /// `false` when the input has no byte right now. The buffer only ever grows, so
+    /// a source that delivers one byte per read costs one read per byte, not a
+    /// reinitialized chunk per byte.
+    #[cold]
+    fn fill(&mut self) -> Result<bool> {
+        if self.start > 0 {
+            self.replay.copy_within(self.start..self.filled, 0);
+            self.base += self.start as u64;
+            self.pos -= self.start;
+            self.filled -= self.start;
+            self.start = 0;
+        }
+        if self.replay.len() < self.filled + READ_AHEAD {
+            self.replay.resize(self.filled + READ_AHEAD, 0);
+        }
         loop {
-            match self.input.read(&mut byte) {
-                Ok(0) => return Ok(None),
-                Ok(_) => {
-                    self.replay.push(byte[0]);
-                    self.replay_pos = self.replay.len();
-                    return Ok(Some(byte[0]));
+            match self.input.read(&mut self.replay[self.filled..]) {
+                Ok(n) => {
+                    self.filled += n;
+                    return Ok(n > 0);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(FormatError::Io(e)),
@@ -437,78 +477,73 @@ impl<R: Read> BinaryTraceReader<R> {
 
     fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            offset: self.offset,
-            hash: self.hash,
             strings: self.strings.len(),
             entries_read: self.entries_read,
         }
     }
 
-    /// Rewinds to `cp`: decode state rolls back and the bytes consumed since then are
-    /// queued for replay on the next attempt.
+    /// Rewinds to `cp`: decode state rolls back and the bytes consumed since the last
+    /// commit are queued for replay on the next attempt.
     fn restore(&mut self, cp: Checkpoint) {
-        self.offset = cp.offset;
-        self.hash = cp.hash;
         self.strings.truncate(cp.strings);
         self.methods.truncate(cp.strings);
         self.fields.truncate(cp.strings);
         self.entries_read = cp.entries_read;
-        self.replay_pos = 0;
+        self.pos = self.start;
     }
 
-    /// Declares every replayed byte consumed for good: the stream is at a record
-    /// boundary and this record can never be re-decoded.
+    /// Declares every decoded byte consumed for good: the stream is at a record
+    /// boundary and this record can never be re-decoded. The record's bytes are
+    /// folded into the checksum here, in one pass over the slice.
     fn commit(&mut self) {
-        self.replay.drain(..self.replay_pos);
-        self.replay_pos = 0;
+        self.hash.update(&self.replay[self.start..self.pos]);
+        self.start = self.pos;
     }
 
-    /// Reads exactly `buf.len()` bytes, feeding them into the running checksum.
-    fn read_hashed(&mut self, buf: &mut [u8]) -> Result<()> {
-        self.read_raw(buf)?;
-        self.hash.update(buf);
-        Ok(())
+    /// The checksum of every byte decoded so far, committed or not.
+    fn running_hash(&self) -> u64 {
+        let mut hash = self.hash;
+        hash.update(&self.replay[self.start..self.pos]);
+        hash.finish()
     }
 
+    /// Reads exactly `buf.len()` bytes.
     fn read_raw(&mut self, buf: &mut [u8]) -> Result<()> {
         for slot in buf.iter_mut() {
             let Some(b) = self.pull_byte()? else {
-                return Err(FormatError::Truncated { offset: self.offset });
+                return Err(FormatError::Truncated {
+                    offset: self.offset(),
+                });
             };
             *slot = b;
-            self.offset += 1;
         }
         Ok(())
-    }
-
-    /// Reads one byte, or `None` at a clean end of input.
-    fn read_optional_byte(&mut self) -> Result<Option<u8>> {
-        match self.pull_byte()? {
-            Some(b) => {
-                self.offset += 1;
-                self.hash.update(&[b]);
-                Ok(Some(b))
-            }
-            None => Ok(None),
-        }
     }
 
     fn read_varint(&mut self) -> Result<u64> {
         varint::read_u64(self)
     }
 
-    /// Reads a length-prefixed UTF-8 string. Bytes arrive through the bounded
-    /// byte-at-a-time path, so a forged length cannot trigger a huge allocation: the
-    /// stream runs out first and reports truncation.
+    /// Reads a length-prefixed UTF-8 string. Bytes are copied out of the window only
+    /// as they arrive, so a forged length cannot trigger a huge allocation: the stream
+    /// runs out first and reports truncation.
     fn read_string(&mut self) -> Result<String> {
-        let start = self.offset;
-        let len = self.read_varint()?;
+        let start = self.offset();
+        let mut remaining = self.read_varint()?;
         let mut bytes = Vec::new();
-        for _ in 0..len {
-            let Some(b) = self.read_optional_byte()? else {
-                return Err(FormatError::Truncated { offset: self.offset });
-            };
-            bytes.push(b);
+        while remaining > 0 {
+            if self.pos == self.filled && !self.fill()? {
+                return Err(FormatError::Truncated {
+                    offset: self.offset(),
+                });
+            }
+            let available = &self.replay[self.pos..self.filled];
+            let take = available
+                .len()
+                .min(usize::try_from(remaining).unwrap_or(usize::MAX));
+            bytes.extend_from_slice(&available[..take]);
+            self.pos += take;
+            remaining -= take as u64;
         }
         String::from_utf8(bytes).map_err(|_| FormatError::Corrupt {
             offset: start,
@@ -523,7 +558,7 @@ impl<R: Read> BinaryTraceReader<R> {
             Ok(index)
         } else {
             Err(FormatError::Corrupt {
-                offset: self.offset,
+                offset: self.offset(),
                 detail: format!(
                     "string id {id} out of range (table has {} entries)",
                     self.strings.len()
@@ -553,9 +588,11 @@ impl<R: Read> BinaryTraceReader<R> {
     }
 
     fn read_objrep(&mut self) -> Result<ObjRep> {
-        let start = self.offset;
-        let Some(flags) = self.read_optional_byte()? else {
-            return Err(FormatError::Truncated { offset: self.offset });
+        let start = self.offset();
+        let Some(flags) = self.pull_byte()? else {
+            return Err(FormatError::Truncated {
+                offset: self.offset(),
+            });
         };
         if flags & !(OBJ_HAS_LOC | OBJ_HAS_SEQ) != 0 {
             return Err(FormatError::Corrupt {
@@ -601,9 +638,11 @@ impl<R: Read> BinaryTraceReader<R> {
     }
 
     fn read_event(&mut self) -> Result<Event> {
-        let start = self.offset;
-        let Some(kind) = self.read_optional_byte()? else {
-            return Err(FormatError::Truncated { offset: self.offset });
+        let start = self.offset();
+        let Some(kind) = self.pull_byte()? else {
+            return Err(FormatError::Truncated {
+                offset: self.offset(),
+            });
         };
         Ok(match kind {
             KIND_GET | KIND_SET => {
@@ -688,7 +727,7 @@ impl<R: Read> BinaryTraceReader<R> {
     }
 
     fn read_footer(&mut self) -> Result<()> {
-        let footer_offset = self.offset - 1;
+        let footer_offset = self.offset() - 1;
         let declared = self.read_varint()?;
         if declared != self.entries_read {
             return Err(FormatError::Corrupt {
@@ -699,8 +738,8 @@ impl<R: Read> BinaryTraceReader<R> {
                 ),
             });
         }
-        // Snapshot the running hash before consuming the (unhashed) checksum field.
-        let computed = self.hash.finish();
+        // The checksum covers every byte before its own (unhashed) field.
+        let computed = self.running_hash();
         let mut checksum = [0u8; 8];
         self.read_raw(&mut checksum)?;
         let expected = u64::from_le_bytes(checksum);
@@ -710,9 +749,9 @@ impl<R: Read> BinaryTraceReader<R> {
                 found: computed,
             });
         }
-        if self.read_optional_byte()?.is_some() {
+        if self.pull_byte()?.is_some() {
             return Err(FormatError::Corrupt {
-                offset: self.offset - 1,
+                offset: self.offset() - 1,
                 detail: "trailing bytes after the trace footer".into(),
             });
         }
@@ -723,7 +762,7 @@ impl<R: Read> BinaryTraceReader<R> {
     /// Decodes one record starting at the current boundary. `Ok(None)` means no tag
     /// byte is available right now.
     fn read_record(&mut self) -> Result<Option<Record>> {
-        let Some(tag) = self.read_optional_byte()? else {
+        let Some(tag) = self.pull_byte()? else {
             return Ok(None);
         };
         match tag {
@@ -751,7 +790,7 @@ impl<R: Read> BinaryTraceReader<R> {
                 Ok(Some(Record::End))
             }
             other => Err(FormatError::Corrupt {
-                offset: self.offset - 1,
+                offset: self.offset() - 1,
                 detail: format!("unknown record tag {other:#04x}"),
             }),
         }
@@ -779,7 +818,7 @@ impl<R: Read> BinaryTraceReader<R> {
                     return Ok(TailEntry::End);
                 }
                 Ok(None) => {
-                    self.dry_offset = self.offset;
+                    self.dry_offset = self.offset();
                     self.restore(cp);
                     return Ok(TailEntry::Pending);
                 }
@@ -823,11 +862,11 @@ enum Record {
 
 impl<R: Read> ByteSource for BinaryTraceReader<R> {
     fn next_byte(&mut self) -> Result<Option<u8>> {
-        self.read_optional_byte()
+        self.pull_byte()
     }
 
     fn offset(&self) -> u64 {
-        self.offset
+        BinaryTraceReader::offset(self)
     }
 }
 

@@ -11,13 +11,16 @@
 //! 3. **Writers propagate failure.** A write that fails mid-stream yields `Err`, and
 //!    what was flushed before the fault reads back as truncated, not as a valid
 //!    shorter trace (binary encoding — its footer is the commit point).
+//! 4. **Chunking never changes a diagnostic.** The binary reader reads its input
+//!    ahead in chunks; whether a damaged stream arrives whole or one byte per read,
+//!    it fails with the same error at the same offset.
 
 use rprism_format::fault::{Fault, FaultPlan, FaultyStream};
 use rprism_format::frame::{read_frame, write_frame};
 use rprism_format::{trace_to_bytes, Encoding, FormatError, TraceReader, TraceWriter};
 use rprism_trace::testgen::{arbitrary_trace, Rng};
 use rprism_trace::Trace;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 
 fn sample_trace(seed: u64, len: usize) -> Trace {
     let mut rng = Rng::new(seed);
@@ -197,4 +200,65 @@ fn frames_survive_turbulence_and_reject_in_flight_corruption() {
         }
     }
     assert!(matches!(outcome, Err(FormatError::Truncated { .. })));
+}
+
+/// What decoding `input` through the sniffing reader came to: the trace, or the
+/// error's variant, offset and detail.
+fn decode_outcome(input: impl BufRead) -> Result<Trace, String> {
+    TraceReader::new(input)
+        .and_then(|reader| reader.into_trace())
+        .map_err(|e| format!("{e:?}"))
+}
+
+/// Every read delivers at most one byte, and a sparse schedule of reads is
+/// interrupted first, so the binary reader refills its read-ahead window at every
+/// byte of every record.
+fn one_byte_reads_plan() -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for k in 0..28u64 {
+        plan = plan.fail_at("in:read", k * k * k, Fault::Interrupt);
+    }
+    plan.fail_from("in:read", 0, Fault::Short(1))
+}
+
+/// Decodes `input` whole and through one-byte turbulent reads, requiring the same
+/// outcome from both.
+fn assert_chunking_independent(input: &[u8], what: &str) -> Result<Trace, String> {
+    let whole = decode_outcome(input);
+    let plan = one_byte_reads_plan();
+    let stream = FaultyStream::new(input, plan.clone(), "in");
+    let turbulent = decode_outcome(BufReader::with_capacity(7, stream));
+    let injected = plan.injected();
+    assert!(
+        injected.iter().any(|f| f.fault == Fault::Interrupt)
+            && injected.iter().any(|f| f.fault == Fault::Short(1)),
+        "{what}: the plan must fire"
+    );
+    assert_eq!(whole, turbulent, "{what}: chunking changed the outcome");
+    whole
+}
+
+#[test]
+fn read_ahead_chunking_never_changes_a_diagnostic() {
+    // The small trace is swept exhaustively; the large one spans several read-ahead
+    // windows (8 KiB each), so records straddle window refills on the whole-slice side
+    // too, and is swept with a stride.
+    for (len, stride) in [(12, 1), (500, 997)] {
+        let trace = sample_trace(0xfa05 + len as u64, len);
+        let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
+        if stride > 1 {
+            assert!(bytes.len() > 2 * 8 * 1024, "{} bytes", bytes.len());
+        }
+        assert_eq!(assert_chunking_independent(&bytes, "intact"), Ok(trace));
+        for cut in (0..bytes.len()).step_by(stride) {
+            let outcome = assert_chunking_independent(&bytes[..cut], &format!("cut at {cut}"));
+            assert!(outcome.is_err(), "a stream cut at {cut} must not decode");
+        }
+        for pos in (0..bytes.len()).step_by(stride.max(3)) {
+            let mut damaged = bytes.clone();
+            damaged[pos] ^= 0x5a;
+            let outcome = assert_chunking_independent(&damaged, &format!("flip at {pos}"));
+            assert!(outcome.is_err(), "a flip at {pos} must not decode");
+        }
+    }
 }

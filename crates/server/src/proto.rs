@@ -4,8 +4,42 @@
 //! length prefix, the payload, and the FNV-64 checksum of the payload — the varint and
 //! checksum machinery of the on-disk trace format, reused on the wire. Inside a frame,
 //! the payload opens with the protocol version byte and a message tag, followed by the
-//! message fields in the same primitive vocabulary the binary trace encoding uses
-//! (varints, length-prefixed UTF-8 strings, length-prefixed byte blobs).
+//! message fields in the same primitive vocabulary the binary trace encoding uses.
+//!
+//! # The codec
+//!
+//! Each wire message is described once. One `Wire` trait pairs `put` with `get`,
+//! and both directions of every message and struct come from a single field list,
+//! written in the order the fields travel.
+//!
+//! * **Primitives.** `u64`, `u32` and `usize` are canonical LEB128 varints; a
+//!   decoded value too large for `u32`/`usize` is a decode error. `bool` is one
+//!   strict byte, `0` or `1`. The fieldless enums (`EventKind`, `Severity`,
+//!   [`WireAlgorithm`], `AnalysisMode`) are one byte each, through one two-way byte
+//!   table per enum; a byte outside the table is a decode error.
+//! * **Blob versus list.** A `Vec<u8>` is a *blob*: a varint length, then the bytes,
+//!   copied out in one slice after the length is checked against the payload. Any
+//!   other `Vec<T>` is a *list*: a varint count, then the items, pushed one at a time,
+//!   so a count read from the input never sizes an allocation. A `String` is a blob
+//!   that must be UTF-8. Tuples are their fields in order.
+//! * **Optional fields** have three shapes, fixed by the frames that introduced them:
+//!   - a generic `Option` is a 0/1 presence byte, then the value
+//!     ([`WireSignature::name`]);
+//!   - `ZeroIsNone`: one byte, where `0` means `None` and any other byte is the
+//!     table value (`Request::Analyze::mode`; `AnalyzeOk` carries a plain mode and
+//!     refuses `0`);
+//!   - `Trailing`: absent when `None` and read only if bytes remain, so a message
+//!     without it is byte-identical to the frame that predates the field
+//!     (`Request::Diff::algorithm`, `Request::Analyze::algorithm`).
+//! * **Per-tag minimum versions.** The message tables (`wire_enum!` invocations for
+//!   [`Request`] and [`Response`]) map each variant to its tag byte, the protocol
+//!   version that introduced the tag and, for requests, the `request.*` span the
+//!   server opens around it. A frame whose version byte predates its tag is refused
+//!   with "requires protocol version N".
+//!
+//! **Adding a message** takes one table row — tag, `since` version, span name for a
+//! request, variant and field list — plus a `wire_struct!` field list for any new
+//! struct it carries. Bump [`PROTO_VERSION`] when the row adds a tag.
 //!
 //! The protocol is a strict request/response alternation per connection: the client
 //! writes one request frame, the server answers with exactly one response frame, and
@@ -57,53 +91,10 @@ pub const PROTO_VERSION: u8 = 5;
 /// The oldest protocol version the decoders still accept (see [`PROTO_VERSION`]).
 pub const MIN_PROTO_VERSION: u8 = 2;
 
-const TAG_PUT: u8 = 0x01;
-const TAG_GET: u8 = 0x02;
-const TAG_LIST: u8 = 0x03;
-const TAG_DIFF: u8 = 0x04;
-const TAG_ANALYZE: u8 = 0x05;
-const TAG_STATS: u8 = 0x06;
-const TAG_SHUTDOWN: u8 = 0x07;
-const TAG_CHECK: u8 = 0x08;
-const TAG_WATCH_START: u8 = 0x09;
-const TAG_PUT_STREAM: u8 = 0x0a;
-const TAG_METRICS: u8 = 0x0b;
-const TAG_OBS_TRACE: u8 = 0x0c;
-
-const TAG_PUT_OK: u8 = 0x81;
-const TAG_GET_OK: u8 = 0x82;
-const TAG_LIST_OK: u8 = 0x83;
-const TAG_DIFF_OK: u8 = 0x84;
-const TAG_ANALYZE_OK: u8 = 0x85;
-const TAG_STATS_OK: u8 = 0x86;
-const TAG_SHUTDOWN_OK: u8 = 0x87;
-const TAG_CHECK_OK: u8 = 0x88;
-const TAG_WATCH_STARTED: u8 = 0x89;
-const TAG_WATCH_EVENT: u8 = 0x8a;
-const TAG_WATCH_DONE: u8 = 0x8b;
-const TAG_CHECK_DENIED: u8 = 0x8c;
-const TAG_METRICS_OK: u8 = 0x8d;
-const TAG_OBS_TRACE_OK: u8 = 0x8e;
-const TAG_BUSY: u8 = 0xfd;
-const TAG_CORRUPT: u8 = 0xfe;
-const TAG_ERROR: u8 = 0xff;
-
-/// The protocol version that introduced a message tag. A frame whose version byte
-/// predates its tag is a peer speaking a version it does not actually have; the
-/// decoders refuse it with a structured error naming the required version.
-fn tag_min_version(tag: u8) -> u8 {
-    match tag {
-        TAG_CHECK | TAG_CHECK_OK => 3,
-        TAG_WATCH_START | TAG_PUT_STREAM | TAG_WATCH_STARTED | TAG_WATCH_EVENT
-        | TAG_WATCH_DONE | TAG_CHECK_DENIED => 4,
-        TAG_METRICS | TAG_OBS_TRACE | TAG_METRICS_OK | TAG_OBS_TRACE_OK => 5,
-        _ => MIN_PROTO_VERSION,
-    }
-}
-
 /// The differencing algorithm a [`Request::Diff`] / [`Request::Analyze`] asks the
-/// server to use. The server applies its configured options for the chosen family;
-/// only the algorithm itself travels on the wire.
+/// server to use. Only the family travels on the wire: the server runs it with the
+/// family's default options, exactly as the local CLI's `--algorithm` does, so a
+/// remote override and a local one produce the same result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireAlgorithm {
     /// Views-based differencing (§3.3) — the server default.
@@ -143,7 +134,7 @@ pub enum Request {
         ///
         /// Encoded as an *optional trailing byte*: requests without an override emit
         /// the exact pre-override frame, so old clients and old servers interoperate
-        /// unchanged (the protocol version stays 3).
+        /// unchanged.
         algorithm: Option<WireAlgorithm>,
     },
     /// Run the §4.1 regression-cause analysis over four stored traces.
@@ -620,36 +611,28 @@ pub struct WireStats {
     /// Watermark-triggered prepared-cache shrinks.
     pub cache_shrinks: u64,
 }
-
 // ---------------------------------------------------------------------------
-// Primitive encode/decode
+// The codec
 // ---------------------------------------------------------------------------
 
-fn put_u64(buf: &mut Vec<u8>, value: u64) {
-    varint::write_u64(buf, value);
+/// A value with one wire shape. `put` and `get` sit side by side, and every
+/// message and struct below derives both from a single field list, so the two
+/// directions cannot drift apart.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self>;
 }
 
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// A cursor over a message payload; all errors are [`FormatError::Corrupt`] with the
-/// byte offset inside the payload.
+/// A cursor over a message payload. Every error carries the byte offset inside the
+/// payload; structural errors are [`FormatError::Corrupt`].
 struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The frame's version byte, checked against each tag's minimum version.
+    version: u8,
 }
 
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
+impl Dec<'_> {
     fn corrupt(&self, detail: impl Into<String>) -> FormatError {
         FormatError::Corrupt {
             offset: self.pos as u64,
@@ -666,52 +649,16 @@ impl<'a> Dec<'a> {
         Ok(byte)
     }
 
-    fn u64(&mut self) -> FormatResult<u64> {
-        let mut source = varint::SliceSource::new(&self.bytes[self.pos..], self.pos as u64);
-        let value = varint::read_u64(&mut source)?;
-        self.pos = source.offset() as usize;
-        Ok(value)
-    }
-
-    fn bool(&mut self) -> FormatResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.corrupt(format!("invalid boolean byte {other:#04x}"))),
+    /// Refuses a tag the frame's version predates: the peer claims a version it
+    /// does not actually speak.
+    fn require_version(&self, tag: u8, min: u8) -> FormatResult<()> {
+        if self.version < min {
+            return Err(self.corrupt(format!(
+                "message tag {tag:#04x} requires protocol version {min}, frame is version {}",
+                self.version
+            )));
         }
-    }
-
-    fn bytes(&mut self) -> FormatResult<Vec<u8>> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| self.corrupt("length overflows usize"))?;
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| self.corrupt(format!("field of {len} bytes overruns the message")))?;
-        let out = self.bytes[self.pos..end].to_vec();
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn str(&mut self) -> FormatResult<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| self.corrupt("string is not valid UTF-8"))
-    }
-
-    fn u64s(&mut self) -> FormatResult<Vec<u64>> {
-        let count = self.u64()?;
-        let mut out = Vec::new();
-        for _ in 0..count {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    /// `true` while undecoded bytes remain — the gate for trailing-optional fields
-    /// (read the field iff a newer client appended it; [`Dec::finish`] still rejects
-    /// anything left over after every decoder ran).
-    fn has_remaining(&self) -> bool {
-        self.pos < self.bytes.len()
+        Ok(())
     }
 
     fn finish(&self) -> FormatResult<()> {
@@ -725,341 +672,469 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn kind_byte(kind: EventKind) -> u8 {
-    match kind {
-        EventKind::Get => 1,
-        EventKind::Set => 2,
-        EventKind::Call => 3,
-        EventKind::Return => 4,
-        EventKind::Init => 5,
-        EventKind::Fork => 6,
-        EventKind::End => 7,
+impl Wire for u64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        varint::write_u64(buf, *self);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let mut source = varint::SliceSource::new(&dec.bytes[dec.pos..], dec.pos as u64);
+        let value = varint::read_u64(&mut source)?;
+        dec.pos = source.offset() as usize;
+        Ok(value)
     }
 }
 
-fn byte_kind(byte: u8, dec: &Dec<'_>) -> FormatResult<EventKind> {
-    Ok(match byte {
-        1 => EventKind::Get,
-        2 => EventKind::Set,
-        3 => EventKind::Call,
-        4 => EventKind::Return,
-        5 => EventKind::Init,
-        6 => EventKind::Fork,
-        7 => EventKind::End,
-        other => return Err(dec.corrupt(format!("unknown event kind {other:#04x}"))),
-    })
-}
+impl Wire for usize {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
+    }
 
-fn mode_byte(mode: Option<AnalysisMode>) -> u8 {
-    match mode {
-        None => 0,
-        Some(AnalysisMode::Intersect) => 1,
-        Some(AnalysisMode::SubtractRegressionSet) => 2,
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let value = u64::get(dec)?;
+        usize::try_from(value).map_err(|_| dec.corrupt("count overflows usize"))
     }
 }
 
-fn byte_mode(byte: u8, dec: &Dec<'_>) -> FormatResult<Option<AnalysisMode>> {
-    Ok(match byte {
-        0 => None,
-        1 => Some(AnalysisMode::Intersect),
-        2 => Some(AnalysisMode::SubtractRegressionSet),
-        other => return Err(dec.corrupt(format!("unknown analysis mode {other:#04x}"))),
-    })
-}
+impl Wire for u32 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        u64::from(*self).put(buf);
+    }
 
-fn algorithm_byte(algorithm: WireAlgorithm) -> u8 {
-    match algorithm {
-        WireAlgorithm::Views => 1,
-        WireAlgorithm::Lcs => 2,
-        WireAlgorithm::Anchored => 3,
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let value = u64::get(dec)?;
+        u32::try_from(value).map_err(|_| dec.corrupt("value overflows u32"))
     }
 }
 
-fn byte_algorithm(byte: u8, dec: &Dec<'_>) -> FormatResult<WireAlgorithm> {
-    Ok(match byte {
-        1 => WireAlgorithm::Views,
-        2 => WireAlgorithm::Lcs,
-        3 => WireAlgorithm::Anchored,
-        other => return Err(dec.corrupt(format!("unknown diff algorithm {other:#04x}"))),
-    })
-}
-
-fn severity_byte(severity: Severity) -> u8 {
-    match severity {
-        Severity::Info => 1,
-        Severity::Warning => 2,
-        Severity::Error => 3,
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
     }
-}
 
-fn byte_severity(byte: u8, dec: &Dec<'_>) -> FormatResult<Severity> {
-    Ok(match byte {
-        1 => Severity::Info,
-        2 => Severity::Warning,
-        3 => Severity::Error,
-        other => return Err(dec.corrupt(format!("unknown severity {other:#04x}"))),
-    })
-}
-
-fn put_overrides(buf: &mut Vec<u8>, overrides: &[(String, Severity)]) {
-    put_u64(buf, overrides.len() as u64);
-    for (rule, severity) in overrides {
-        put_str(buf, rule);
-        buf.push(severity_byte(*severity));
-    }
-}
-
-fn get_overrides(dec: &mut Dec<'_>) -> FormatResult<Vec<(String, Severity)>> {
-    let count = dec.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let rule = dec.str()?;
-        let severity_raw = dec.u8()?;
-        out.push((rule, byte_severity(severity_raw, dec)?));
-    }
-    Ok(out)
-}
-
-fn put_check_report(buf: &mut Vec<u8>, report: &CheckReport) {
-    put_str(buf, &report.trace_name);
-    put_u64(buf, report.entries as u64);
-    put_u64(buf, report.threads as u64);
-    put_u64(buf, report.suppressed as u64);
-    put_u64(buf, report.diagnostics.len() as u64);
-    for diagnostic in &report.diagnostics {
-        put_str(buf, diagnostic.rule_id);
-        buf.push(severity_byte(diagnostic.severity));
-        put_u64(buf, diagnostic.entry_index as u64);
-        put_str(buf, &diagnostic.message);
-        put_u64(buf, diagnostic.related_entries.len() as u64);
-        for &related in &diagnostic.related_entries {
-            put_u64(buf, related as u64);
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        match dec.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(dec.corrupt(format!("invalid boolean byte {other:#04x}"))),
         }
     }
 }
 
-fn get_usize(dec: &mut Dec<'_>) -> FormatResult<usize> {
-    let value = dec.u64()?;
-    usize::try_from(value).map_err(|_| dec.corrupt("count overflows usize"))
+/// A byte blob: a length, then the bytes.
+fn put_blob(bytes: &[u8], buf: &mut Vec<u8>) {
+    bytes.len().put(buf);
+    buf.extend_from_slice(bytes);
 }
 
-fn get_check_report(dec: &mut Dec<'_>) -> FormatResult<CheckReport> {
-    let trace_name = dec.str()?;
-    let entries = get_usize(dec)?;
-    let threads = get_usize(dec)?;
-    let suppressed = get_usize(dec)?;
-    let count = dec.u64()?;
-    let mut diagnostics = Vec::new();
-    for _ in 0..count {
-        let rule_id = dec.str()?;
-        // Rule ids live in the static registry; mapping the wire string back
-        // through it both validates the id and recovers the `&'static str` the
-        // diagnostic model carries.
-        let rule_id = rules::rule(&rule_id)
-            .ok_or_else(|| dec.corrupt(format!("unknown rule id {rule_id:?}")))?
-            .id;
-        let severity_raw = dec.u8()?;
-        let severity = byte_severity(severity_raw, dec)?;
-        let entry_index = get_usize(dec)?;
-        let message = dec.str()?;
-        let related_count = dec.u64()?;
-        let mut related_entries = Vec::new();
-        for _ in 0..related_count {
-            related_entries.push(get_usize(dec)?);
-        }
-        diagnostics.push(Diagnostic {
-            rule_id,
-            severity,
-            entry_index,
-            message,
-            related_entries,
-        });
+/// A blob, copied out in one slice.
+impl Wire for Vec<u8> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_blob(self, buf);
     }
-    Ok(CheckReport {
-        trace_name,
-        entries,
-        threads,
-        suppressed,
-        diagnostics,
-    })
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let len = usize::try_from(u64::get(dec)?)
+            .map_err(|_| dec.corrupt("length overflows usize"))?;
+        let end = dec
+            .pos
+            .checked_add(len)
+            .filter(|&end| end <= dec.bytes.len())
+            .ok_or_else(|| dec.corrupt(format!("field of {len} bytes overruns the message")))?;
+        let out = dec.bytes[dec.pos..end].to_vec();
+        dec.pos = end;
+        Ok(out)
+    }
 }
 
-fn put_watch_events(buf: &mut Vec<u8>, events: &[WireWatchEvent]) {
-    put_u64(buf, events.len() as u64);
-    for event in events {
-        match event {
-            WireWatchEvent::Match { left, right } => {
-                buf.push(1);
-                put_u64(buf, *left);
-                put_u64(buf, *right);
+/// A blob that must be UTF-8.
+impl Wire for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_blob(self.as_bytes(), buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        String::from_utf8(Vec::get(dec)?).map_err(|_| dec.corrupt("string is not valid UTF-8"))
+    }
+}
+
+/// A list: a count, then the items. Items are pushed one at a time, so a count
+/// read from the input never sizes an allocation.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.len().put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let count = u64::get(dec)?;
+        let mut out = Vec::new();
+        for _ in 0..count {
+            out.push(T::get(dec)?);
+        }
+        Ok(out)
+    }
+}
+
+/// An optional value behind a strict 0/1 presence byte.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(value) = self {
+            value.put(buf);
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        Ok(if bool::get(dec)? { Some(T::get(dec)?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        T::get(dec).map(Box::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        Ok((A::get(dec)?, B::get(dec)?))
+    }
+}
+
+/// How one field travels. A field without an explicit shape uses [`Plain`], its
+/// type's own [`Wire`] form; the other shapes are the optional-field encodings
+/// older frames fixed before the generic [`Option`] presence byte existed.
+trait Shape<T> {
+    fn put(value: &T, buf: &mut Vec<u8>);
+    fn get(dec: &mut Dec<'_>) -> FormatResult<T>;
+}
+
+struct Plain;
+
+impl<T: Wire> Shape<T> for Plain {
+    fn put(value: &T, buf: &mut Vec<u8>) {
+        value.put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<T> {
+        T::get(dec)
+    }
+}
+
+/// An optional byte-table value in one byte, where `0` (never in the table) means
+/// `None`.
+struct ZeroIsNone;
+
+impl<T: Wire> Shape<Option<T>> for ZeroIsNone {
+    fn put(value: &Option<T>, buf: &mut Vec<u8>) {
+        match value {
+            None => buf.push(0),
+            Some(value) => value.put(buf),
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Option<T>> {
+        if dec.bytes.get(dec.pos) == Some(&0) {
+            dec.pos += 1;
+            return Ok(None);
+        }
+        T::get(dec).map(Some)
+    }
+}
+
+/// An optional last field: absent when `None`, read only if bytes remain — so a
+/// message without it is byte-identical to the frame that predates the field
+/// ([`Dec::finish`] still rejects anything left over after every field was read).
+struct Trailing;
+
+impl<T: Wire> Shape<Option<T>> for Trailing {
+    fn put(value: &Option<T>, buf: &mut Vec<u8>) {
+        if let Some(value) = value {
+            value.put(buf);
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Option<T>> {
+        if dec.pos < dec.bytes.len() {
+            T::get(dec).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// A diagnostic's rule id: spelled out as a string and mapped back through the
+/// static rule registry, which both validates the id and recovers the
+/// `&'static str` the diagnostic model carries.
+struct RuleId;
+
+impl Shape<&'static str> for RuleId {
+    fn put(value: &&'static str, buf: &mut Vec<u8>) {
+        put_blob(value.as_bytes(), buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<&'static str> {
+        let id = String::get(dec)?;
+        rules::rule(&id)
+            .map(|rule| rule.id)
+            .ok_or_else(|| dec.corrupt(format!("unknown rule id {id:?}")))
+    }
+}
+
+/// `Plain` unless the field names another [`Shape`].
+macro_rules! shape {
+    () => {
+        Plain
+    };
+    ($shape:ident) => {
+        $shape
+    };
+}
+
+/// Appends a field list whose fields are bound by [`wire_pattern!`].
+macro_rules! wire_put {
+    ($buf:ident, { $($field:ident $(: $shape:ident)?),* }) => {
+        $(<shape!($($shape)?) as Shape<_>>::put($field, $buf);)*
+    };
+    ($buf:ident, ( $bind:ident )) => {
+        $bind.put($buf);
+    };
+}
+
+/// Binds every field of a field list by name.
+macro_rules! wire_pattern {
+    ($($path:ident)::+ { $($field:ident $(: $shape:ident)?),* }) => {
+        $($path)::+ { $($field),* }
+    };
+    ($($path:ident)::+ ( $bind:ident )) => {
+        $($path)::+($bind)
+    };
+}
+
+/// Reads a field list, in order, into the named struct or variant.
+macro_rules! wire_get {
+    ($dec:ident, $($path:ident)::+ { $($field:ident $(: $shape:ident)?),* }) => {
+        $($path)::+ { $($field: <shape!($($shape)?) as Shape<_>>::get($dec)?),* }
+    };
+    ($dec:ident, $($path:ident)::+ ( $bind:ident )) => {
+        $($path)::+(Wire::get($dec)?)
+    };
+}
+
+/// A struct whose fields travel in the listed order. The list must name every
+/// field: it is also the destructuring pattern.
+macro_rules! wire_struct {
+    ($ty:ident $fields:tt) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let wire_pattern!($ty $fields) = self;
+                wire_put!(buf, $fields);
             }
-            WireWatchEvent::Invalidate { left, right } => {
-                buf.push(2);
-                put_u64(buf, *left);
-                put_u64(buf, *right);
+
+            fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+                Ok(wire_get!(dec, $ty $fields))
             }
-            WireWatchEvent::Difference { left, right } => {
-                buf.push(3);
-                put_u64(buf, left.len() as u64);
-                for &i in left {
-                    put_u64(buf, i);
+        }
+    };
+}
+
+/// An enum sent as a tag byte and the chosen variant's fields. A row may name the
+/// protocol version that introduced its tag (`since`) and, for requests, the
+/// `request.*` span the server opens around the request (`span`). Unit variants
+/// are written `{}`.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal since $min:literal span $span:literal => $variant:ident $fields:tt),* $(,)?
+    }) => {
+        wire_enum!($ty, $what { $($tag since $min => $variant $fields),* });
+
+        impl $ty {
+            /// The `request.*` span name of this request kind — the top level of the
+            /// span taxonomy (each handler's inner spans nest under it).
+            pub(crate) fn span_name(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $span),*
                 }
-                put_u64(buf, right.len() as u64);
-                for &i in right {
-                    put_u64(buf, i);
+            }
+        }
+    };
+    ($ty:ident, $what:literal {
+        $($tag:literal $(since $min:literal)? => $variant:ident $fields:tt),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(wire_pattern!($ty::$variant $fields) => {
+                        buf.push($tag);
+                        wire_put!(buf, $fields);
+                    })*
+                }
+            }
+
+            fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+                let tag = dec.u8()?;
+                Ok(match tag {
+                    $($tag => {
+                        $(dec.require_version(tag, $min)?;)?
+                        wire_get!(dec, $ty::$variant $fields)
+                    })*
+                    other => {
+                        return Err(dec.corrupt(format!(concat!("unknown ", $what, " {:#04x}"), other)))
+                    }
+                })
+            }
+        }
+    };
+}
+
+/// A fieldless enum sent as one byte through a single two-way table.
+macro_rules! wire_byte {
+    ($ty:ident, $what:literal { $($variant:ident = $byte:literal),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.push(match self {
+                    $($ty::$variant => $byte),*
+                });
+            }
+
+            fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+                match dec.u8()? {
+                    $($byte => Ok($ty::$variant),)*
+                    other => Err(dec.corrupt(format!(concat!("unknown ", $what, " {:#04x}"), other))),
                 }
             }
         }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// The message tables
+// ---------------------------------------------------------------------------
+
+wire_enum! {
+    Request, "request tag" {
+        0x01 since 2 span "request.put" => Put { bytes },
+        0x02 since 2 span "request.get" => Get { hash },
+        0x03 since 2 span "request.list" => List {},
+        0x04 since 2 span "request.diff" => Diff {
+            left, right, max_sequences, algorithm: Trailing
+        },
+        0x05 since 2 span "request.analyze" => Analyze {
+            old_regressing, new_regressing, old_passing, new_passing,
+            mode: ZeroIsNone, max_sequences, algorithm: Trailing
+        },
+        0x06 since 2 span "request.stats" => Stats {},
+        0x07 since 2 span "request.shutdown" => Shutdown {},
+        0x08 since 3 span "request.check" => Check { hash, overrides },
+        0x09 since 4 span "request.watch_start" => WatchStart { old, max_sequences },
+        0x0a since 4 span "request.put_stream" => PutStream { bytes, last },
+        0x0b since 5 span "request.metrics" => Metrics {},
+        0x0c since 5 span "request.obs_trace" => ObsTrace {},
     }
 }
 
-fn get_watch_events(dec: &mut Dec<'_>) -> FormatResult<Vec<WireWatchEvent>> {
-    let count = dec.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        out.push(match dec.u8()? {
-            1 => WireWatchEvent::Match {
-                left: dec.u64()?,
-                right: dec.u64()?,
-            },
-            2 => WireWatchEvent::Invalidate {
-                left: dec.u64()?,
-                right: dec.u64()?,
-            },
-            3 => WireWatchEvent::Difference {
-                left: dec.u64s()?,
-                right: dec.u64s()?,
-            },
-            other => return Err(dec.corrupt(format!("unknown watch event kind {other:#04x}"))),
-        });
-    }
-    Ok(out)
-}
-
-fn put_sequence(buf: &mut Vec<u8>, sequence: &WireSequence) {
-    put_u64(buf, sequence.left.len() as u64);
-    for &i in &sequence.left {
-        put_u64(buf, i);
-    }
-    put_u64(buf, sequence.right.len() as u64);
-    for &i in &sequence.right {
-        put_u64(buf, i);
+wire_enum! {
+    Response, "response tag" {
+        0x81 since 2 => PutOk { hash, deduped, entries },
+        0x82 since 2 => GetOk { bytes },
+        0x83 since 2 => ListOk { entries },
+        0x84 since 2 => DiffOk(diff),
+        0x85 since 2 => AnalyzeOk(report),
+        0x86 since 2 => StatsOk(stats),
+        0x87 since 2 => ShutdownOk {},
+        0x88 since 3 => CheckOk(report),
+        0x89 since 4 => WatchStarted {},
+        0x8a since 4 => WatchEvent { events },
+        0x8b since 4 => WatchDone { events, diff },
+        0x8c since 4 => CheckDenied(report),
+        0x8d since 5 => MetricsOk { text },
+        0x8e since 5 => ObsTraceOk { bytes },
+        0xfd since 2 => Busy { retry_after_ms },
+        0xfe since 2 => Corrupt { hash, message },
+        0xff since 2 => Error { message },
     }
 }
 
-fn get_sequence(dec: &mut Dec<'_>) -> FormatResult<WireSequence> {
-    Ok(WireSequence {
-        left: dec.u64s()?,
-        right: dec.u64s()?,
-    })
-}
-
-fn put_diff(buf: &mut Vec<u8>, diff: &WireDiff) {
-    put_str(buf, &diff.algorithm);
-    put_u64(buf, diff.left_len);
-    put_u64(buf, diff.right_len);
-    put_u64(buf, diff.pairs.len() as u64);
-    for &(l, r) in &diff.pairs {
-        put_u64(buf, l);
-        put_u64(buf, r);
-    }
-    put_u64(buf, diff.sequences.len() as u64);
-    for sequence in &diff.sequences {
-        put_sequence(buf, sequence);
-    }
-    put_u64(buf, diff.compare_ops);
-    put_u64(buf, diff.num_differences);
-    put_str(buf, &diff.rendered);
-}
-
-fn get_diff(dec: &mut Dec<'_>) -> FormatResult<WireDiff> {
-    let algorithm = dec.str()?;
-    let left_len = dec.u64()?;
-    let right_len = dec.u64()?;
-    let pair_count = dec.u64()?;
-    let mut pairs = Vec::new();
-    for _ in 0..pair_count {
-        let l = dec.u64()?;
-        let r = dec.u64()?;
-        pairs.push((l, r));
-    }
-    let sequence_count = dec.u64()?;
-    let mut sequences = Vec::new();
-    for _ in 0..sequence_count {
-        sequences.push(get_sequence(dec)?);
-    }
-    Ok(WireDiff {
-        algorithm,
-        left_len,
-        right_len,
-        pairs,
-        sequences,
-        compare_ops: dec.u64()?,
-        num_differences: dec.u64()?,
-        rendered: dec.str()?,
-    })
-}
-
-fn put_signature(buf: &mut Vec<u8>, signature: &WireSignature) {
-    buf.push(kind_byte(signature.kind));
-    match &signature.name {
-        None => buf.push(0),
-        Some(name) => {
-            buf.push(1);
-            put_str(buf, name);
-        }
-    }
-    put_u64(buf, signature.operands.len() as u64);
-    for (class, fp) in &signature.operands {
-        put_str(buf, class);
-        put_u64(buf, *fp);
-    }
-    put_str(buf, &signature.method);
-    put_str(buf, &signature.active_class);
-}
-
-fn get_signature(dec: &mut Dec<'_>) -> FormatResult<WireSignature> {
-    let kind_raw = dec.u8()?;
-    let kind = byte_kind(kind_raw, dec)?;
-    let name = if dec.bool()? { Some(dec.str()?) } else { None };
-    let operand_count = dec.u64()?;
-    let mut operands = Vec::new();
-    for _ in 0..operand_count {
-        let class = dec.str()?;
-        let fp = dec.u64()?;
-        operands.push((class, fp));
-    }
-    Ok(WireSignature {
-        kind,
-        name,
-        operands,
-        method: dec.str()?,
-        active_class: dec.str()?,
-    })
-}
-
-fn put_signatures(buf: &mut Vec<u8>, signatures: &[WireSignature]) {
-    put_u64(buf, signatures.len() as u64);
-    for signature in signatures {
-        put_signature(buf, signature);
+wire_enum! {
+    WireWatchEvent, "watch event kind" {
+        1 => Match { left, right },
+        2 => Invalidate { left, right },
+        3 => Difference { left, right },
     }
 }
 
-fn get_signatures(dec: &mut Dec<'_>) -> FormatResult<Vec<WireSignature>> {
-    let count = dec.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        out.push(get_signature(dec)?);
+wire_struct! { RepoEntry { hash, name, entries, bytes } }
+
+wire_struct! {
+    WireDiff {
+        algorithm, left_len, right_len, pairs, sequences, compare_ops, num_differences, rendered
     }
-    Ok(out)
 }
 
-fn header(tag: u8) -> Vec<u8> {
-    vec![PROTO_VERSION, tag]
+wire_struct! { WireSequence { left, right } }
+
+wire_struct! { WireSignature { kind, name, operands, method, active_class } }
+
+wire_struct! {
+    WireReport {
+        algorithm, mode, suspected, expected, regression, candidates, sequences, compare_ops,
+        rendered
+    }
 }
 
-fn open(bytes: &[u8]) -> FormatResult<(u8, Dec<'_>)> {
-    let mut dec = Dec::new(bytes);
+// The pinned order of the 15 counters (`stats_ok_field_order_is_pinned`).
+wire_struct! {
+    WireStats {
+        blobs, blob_bytes, prepared_cached, prepared_cached_bytes, cache_budget_bytes,
+        prepared_hits, prepared_misses, evictions, dedup_hits, requests_served,
+        correlation_builds, cached_correlations, orphans_removed, quarantined, cache_shrinks
+    }
+}
+
+wire_struct! { CheckReport { trace_name, entries, threads, suppressed, diagnostics } }
+
+wire_struct! { Diagnostic { rule_id: RuleId, severity, entry_index, message, related_entries } }
+
+wire_byte! {
+    EventKind, "event kind" {
+        Get = 1, Set = 2, Call = 3, Return = 4, Init = 5, Fork = 6, End = 7
+    }
+}
+
+wire_byte! { Severity, "severity" { Info = 1, Warning = 2, Error = 3 } }
+
+wire_byte! { WireAlgorithm, "diff algorithm" { Views = 1, Lcs = 2, Anchored = 3 } }
+
+// `0` stays free: it is the "engine default" marker of `Request::Analyze`'s mode.
+wire_byte! { AnalysisMode, "analysis mode" { Intersect = 1, SubtractRegressionSet = 2 } }
+
+/// The payload of a message: the current version byte, then the tagged message.
+fn encode_message(message: &impl Wire) -> Vec<u8> {
+    let mut buf = vec![PROTO_VERSION];
+    message.put(&mut buf);
+    buf
+}
+
+/// Checks the version byte against the accepted window, decodes the tagged
+/// message, and refuses trailing bytes.
+fn decode_message<T: Wire>(bytes: &[u8]) -> FormatResult<T> {
+    let mut dec = Dec {
+        bytes,
+        pos: 0,
+        version: 0,
+    };
     let version = dec.u8()?;
     if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
         return Err(FormatError::UnsupportedVersion {
@@ -1067,91 +1142,16 @@ fn open(bytes: &[u8]) -> FormatResult<(u8, Dec<'_>)> {
             supported: u16::from(PROTO_VERSION),
         });
     }
-    let tag = dec.u8()?;
-    if version < tag_min_version(tag) {
-        return Err(dec.corrupt(format!(
-            "message tag {tag:#04x} requires protocol version {}, frame is version {version}",
-            tag_min_version(tag)
-        )));
-    }
-    Ok((tag, dec))
+    dec.version = version;
+    let message = T::get(&mut dec)?;
+    dec.finish()?;
+    Ok(message)
 }
 
 impl Request {
     /// Serializes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Put { bytes } => {
-                let mut buf = header(TAG_PUT);
-                put_bytes(&mut buf, bytes);
-                buf
-            }
-            Request::Get { hash } => {
-                let mut buf = header(TAG_GET);
-                put_u64(&mut buf, *hash);
-                buf
-            }
-            Request::List => header(TAG_LIST),
-            Request::Diff {
-                left,
-                right,
-                max_sequences,
-                algorithm,
-            } => {
-                let mut buf = header(TAG_DIFF);
-                put_u64(&mut buf, *left);
-                put_u64(&mut buf, *right);
-                put_u64(&mut buf, *max_sequences);
-                // Trailing-optional: absent means "server default" and reproduces the
-                // pre-override frame byte for byte.
-                if let Some(algorithm) = algorithm {
-                    buf.push(algorithm_byte(*algorithm));
-                }
-                buf
-            }
-            Request::Analyze {
-                old_regressing,
-                new_regressing,
-                old_passing,
-                new_passing,
-                mode,
-                max_sequences,
-                algorithm,
-            } => {
-                let mut buf = header(TAG_ANALYZE);
-                for hash in [old_regressing, new_regressing, old_passing, new_passing] {
-                    put_u64(&mut buf, *hash);
-                }
-                buf.push(mode_byte(*mode));
-                put_u64(&mut buf, *max_sequences);
-                if let Some(algorithm) = algorithm {
-                    buf.push(algorithm_byte(*algorithm));
-                }
-                buf
-            }
-            Request::Check { hash, overrides } => {
-                let mut buf = header(TAG_CHECK);
-                put_u64(&mut buf, *hash);
-                put_overrides(&mut buf, overrides);
-                buf
-            }
-            Request::WatchStart { old, max_sequences } => {
-                let mut buf = header(TAG_WATCH_START);
-                put_u64(&mut buf, *old);
-                put_u64(&mut buf, *max_sequences);
-                buf
-            }
-            Request::PutStream { bytes, last } => {
-                let mut buf = header(TAG_PUT_STREAM);
-                put_bytes(&mut buf, bytes);
-                buf.push(u8::from(*last));
-                buf
-            }
-            Request::Stats => header(TAG_STATS),
-            Request::Metrics => header(TAG_METRICS),
-            Request::ObsTrace => header(TAG_OBS_TRACE),
-            Request::Shutdown => header(TAG_SHUTDOWN),
-        }
+        encode_message(self)
     }
 
     /// Decodes a frame payload into a request.
@@ -1161,205 +1161,14 @@ impl Request {
     /// Returns [`FormatError`] on a version mismatch, unknown tag, or malformed field
     /// — the server answers these with a structured error frame.
     pub fn decode(bytes: &[u8]) -> FormatResult<Request> {
-        let (tag, mut dec) = open(bytes)?;
-        let request = match tag {
-            TAG_PUT => Request::Put { bytes: dec.bytes()? },
-            TAG_GET => Request::Get { hash: dec.u64()? },
-            TAG_LIST => Request::List,
-            TAG_DIFF => {
-                let left = dec.u64()?;
-                let right = dec.u64()?;
-                let max_sequences = dec.u64()?;
-                let algorithm = if dec.has_remaining() {
-                    let raw = dec.u8()?;
-                    Some(byte_algorithm(raw, &dec)?)
-                } else {
-                    None
-                };
-                Request::Diff {
-                    left,
-                    right,
-                    max_sequences,
-                    algorithm,
-                }
-            }
-            TAG_ANALYZE => {
-                let old_regressing = dec.u64()?;
-                let new_regressing = dec.u64()?;
-                let old_passing = dec.u64()?;
-                let new_passing = dec.u64()?;
-                let mode_raw = dec.u8()?;
-                let mode = byte_mode(mode_raw, &dec)?;
-                let max_sequences = dec.u64()?;
-                let algorithm = if dec.has_remaining() {
-                    let raw = dec.u8()?;
-                    Some(byte_algorithm(raw, &dec)?)
-                } else {
-                    None
-                };
-                Request::Analyze {
-                    old_regressing,
-                    new_regressing,
-                    old_passing,
-                    new_passing,
-                    mode,
-                    max_sequences,
-                    algorithm,
-                }
-            }
-            TAG_CHECK => Request::Check {
-                hash: dec.u64()?,
-                overrides: get_overrides(&mut dec)?,
-            },
-            TAG_WATCH_START => Request::WatchStart {
-                old: dec.u64()?,
-                max_sequences: dec.u64()?,
-            },
-            TAG_PUT_STREAM => Request::PutStream {
-                bytes: dec.bytes()?,
-                last: dec.bool()?,
-            },
-            TAG_STATS => Request::Stats,
-            TAG_METRICS => Request::Metrics,
-            TAG_OBS_TRACE => Request::ObsTrace,
-            TAG_SHUTDOWN => Request::Shutdown,
-            other => return Err(dec.corrupt(format!("unknown request tag {other:#04x}"))),
-        };
-        dec.finish()?;
-        Ok(request)
+        decode_message(bytes)
     }
 }
 
 impl Response {
     /// Serializes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Response::PutOk {
-                hash,
-                deduped,
-                entries,
-            } => {
-                let mut buf = header(TAG_PUT_OK);
-                put_u64(&mut buf, *hash);
-                buf.push(u8::from(*deduped));
-                put_u64(&mut buf, *entries);
-                buf
-            }
-            Response::GetOk { bytes } => {
-                let mut buf = header(TAG_GET_OK);
-                put_bytes(&mut buf, bytes);
-                buf
-            }
-            Response::ListOk { entries } => {
-                let mut buf = header(TAG_LIST_OK);
-                put_u64(&mut buf, entries.len() as u64);
-                for entry in entries {
-                    put_u64(&mut buf, entry.hash);
-                    put_str(&mut buf, &entry.name);
-                    put_u64(&mut buf, entry.entries);
-                    put_u64(&mut buf, entry.bytes);
-                }
-                buf
-            }
-            Response::DiffOk(diff) => {
-                let mut buf = header(TAG_DIFF_OK);
-                put_diff(&mut buf, diff);
-                buf
-            }
-            Response::AnalyzeOk(report) => {
-                let mut buf = header(TAG_ANALYZE_OK);
-                put_str(&mut buf, &report.algorithm);
-                buf.push(mode_byte(Some(report.mode)));
-                for set in [
-                    &report.suspected,
-                    &report.expected,
-                    &report.regression,
-                    &report.candidates,
-                ] {
-                    put_signatures(&mut buf, set);
-                }
-                put_u64(&mut buf, report.sequences.len() as u64);
-                for (sequence, related) in &report.sequences {
-                    put_sequence(&mut buf, sequence);
-                    buf.push(u8::from(*related));
-                }
-                put_u64(&mut buf, report.compare_ops);
-                put_str(&mut buf, &report.rendered);
-                buf
-            }
-            Response::CheckOk(report) => {
-                let mut buf = header(TAG_CHECK_OK);
-                put_check_report(&mut buf, report);
-                buf
-            }
-            Response::WatchStarted => header(TAG_WATCH_STARTED),
-            Response::WatchEvent { events } => {
-                let mut buf = header(TAG_WATCH_EVENT);
-                put_watch_events(&mut buf, events);
-                buf
-            }
-            Response::WatchDone { events, diff } => {
-                let mut buf = header(TAG_WATCH_DONE);
-                put_watch_events(&mut buf, events);
-                put_diff(&mut buf, diff);
-                buf
-            }
-            Response::CheckDenied(report) => {
-                let mut buf = header(TAG_CHECK_DENIED);
-                put_check_report(&mut buf, report);
-                buf
-            }
-            Response::StatsOk(stats) => {
-                let mut buf = header(TAG_STATS_OK);
-                for value in [
-                    stats.blobs,
-                    stats.blob_bytes,
-                    stats.prepared_cached,
-                    stats.prepared_cached_bytes,
-                    stats.cache_budget_bytes,
-                    stats.prepared_hits,
-                    stats.prepared_misses,
-                    stats.evictions,
-                    stats.dedup_hits,
-                    stats.requests_served,
-                    stats.correlation_builds,
-                    stats.cached_correlations,
-                    stats.orphans_removed,
-                    stats.quarantined,
-                    stats.cache_shrinks,
-                ] {
-                    put_u64(&mut buf, value);
-                }
-                buf
-            }
-            Response::MetricsOk { text } => {
-                let mut buf = header(TAG_METRICS_OK);
-                put_str(&mut buf, text);
-                buf
-            }
-            Response::ObsTraceOk { bytes } => {
-                let mut buf = header(TAG_OBS_TRACE_OK);
-                put_bytes(&mut buf, bytes);
-                buf
-            }
-            Response::ShutdownOk => header(TAG_SHUTDOWN_OK),
-            Response::Busy { retry_after_ms } => {
-                let mut buf = header(TAG_BUSY);
-                put_u64(&mut buf, u64::from(*retry_after_ms));
-                buf
-            }
-            Response::Corrupt { hash, message } => {
-                let mut buf = header(TAG_CORRUPT);
-                put_u64(&mut buf, *hash);
-                put_str(&mut buf, message);
-                buf
-            }
-            Response::Error { message } => {
-                let mut buf = header(TAG_ERROR);
-                put_str(&mut buf, message);
-                buf
-            }
-        }
+        encode_message(self)
     }
 
     /// Decodes a frame payload into a response.
@@ -1368,112 +1177,17 @@ impl Response {
     ///
     /// Returns [`FormatError`] on a version mismatch, unknown tag, or malformed field.
     pub fn decode(bytes: &[u8]) -> FormatResult<Response> {
-        let (tag, mut dec) = open(bytes)?;
-        let response = match tag {
-            TAG_PUT_OK => Response::PutOk {
-                hash: dec.u64()?,
-                deduped: dec.bool()?,
-                entries: dec.u64()?,
-            },
-            TAG_GET_OK => Response::GetOk { bytes: dec.bytes()? },
-            TAG_LIST_OK => {
-                let count = dec.u64()?;
-                let mut entries = Vec::new();
-                for _ in 0..count {
-                    entries.push(RepoEntry {
-                        hash: dec.u64()?,
-                        name: dec.str()?,
-                        entries: dec.u64()?,
-                        bytes: dec.u64()?,
-                    });
-                }
-                Response::ListOk { entries }
-            }
-            TAG_DIFF_OK => Response::DiffOk(get_diff(&mut dec)?),
-            TAG_ANALYZE_OK => {
-                let algorithm = dec.str()?;
-                let mode_raw = dec.u8()?;
-                let mode = byte_mode(mode_raw, &dec)?
-                    .ok_or_else(|| dec.corrupt("report mode cannot be the default marker"))?;
-                let suspected = get_signatures(&mut dec)?;
-                let expected = get_signatures(&mut dec)?;
-                let regression = get_signatures(&mut dec)?;
-                let candidates = get_signatures(&mut dec)?;
-                let sequence_count = dec.u64()?;
-                let mut sequences = Vec::new();
-                for _ in 0..sequence_count {
-                    let sequence = get_sequence(&mut dec)?;
-                    let related = dec.bool()?;
-                    sequences.push((sequence, related));
-                }
-                Response::AnalyzeOk(WireReport {
-                    algorithm,
-                    mode,
-                    suspected,
-                    expected,
-                    regression,
-                    candidates,
-                    sequences,
-                    compare_ops: dec.u64()?,
-                    rendered: dec.str()?,
-                })
-            }
-            TAG_CHECK_OK => Response::CheckOk(Box::new(get_check_report(&mut dec)?)),
-            TAG_WATCH_STARTED => Response::WatchStarted,
-            TAG_WATCH_EVENT => Response::WatchEvent {
-                events: get_watch_events(&mut dec)?,
-            },
-            TAG_WATCH_DONE => {
-                let events = get_watch_events(&mut dec)?;
-                let diff = get_diff(&mut dec)?;
-                Response::WatchDone { events, diff }
-            }
-            TAG_CHECK_DENIED => Response::CheckDenied(Box::new(get_check_report(&mut dec)?)),
-            TAG_STATS_OK => {
-                let mut values = [0u64; 15];
-                for value in &mut values {
-                    *value = dec.u64()?;
-                }
-                Response::StatsOk(WireStats {
-                    blobs: values[0],
-                    blob_bytes: values[1],
-                    prepared_cached: values[2],
-                    prepared_cached_bytes: values[3],
-                    cache_budget_bytes: values[4],
-                    prepared_hits: values[5],
-                    prepared_misses: values[6],
-                    evictions: values[7],
-                    dedup_hits: values[8],
-                    requests_served: values[9],
-                    correlation_builds: values[10],
-                    cached_correlations: values[11],
-                    orphans_removed: values[12],
-                    quarantined: values[13],
-                    cache_shrinks: values[14],
-                })
-            }
-            TAG_METRICS_OK => Response::MetricsOk { text: dec.str()? },
-            TAG_OBS_TRACE_OK => Response::ObsTraceOk { bytes: dec.bytes()? },
-            TAG_SHUTDOWN_OK => Response::ShutdownOk,
-            TAG_BUSY => Response::Busy {
-                retry_after_ms: u32::try_from(dec.u64()?)
-                    .map_err(|_| dec.corrupt("retry_after_ms overflows u32"))?,
-            },
-            TAG_CORRUPT => Response::Corrupt {
-                hash: dec.u64()?,
-                message: dec.str()?,
-            },
-            TAG_ERROR => Response::Error { message: dec.str()? },
-            other => return Err(dec.corrupt(format!("unknown response tag {other:#04x}"))),
-        };
-        dec.finish()?;
-        Ok(response)
+        decode_message(bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put_u64(buf: &mut Vec<u8>, value: u64) {
+        value.put(buf);
+    }
 
     fn round_trip_request(request: Request) {
         let decoded = Request::decode(&request.encode()).unwrap();
@@ -1749,13 +1463,13 @@ mod tests {
         assert!(Request::decode(&[]).is_err());
         // Wrong protocol version.
         assert!(matches!(
-            Request::decode(&[99, TAG_LIST]),
+            Request::decode(&[99, 0x03]),
             Err(FormatError::UnsupportedVersion { found: 99, .. })
         ));
         // Unknown tag.
         assert!(Request::decode(&[PROTO_VERSION, 0x7f]).is_err());
         // Trailing garbage.
-        assert!(Request::decode(&[PROTO_VERSION, TAG_LIST, 0x00]).is_err());
+        assert!(Request::decode(&[PROTO_VERSION, 0x03, 0x00]).is_err());
         // Truncated field.
         let mut put = Request::Put { bytes: vec![1; 100] }.encode();
         put.truncate(10);

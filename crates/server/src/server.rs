@@ -48,7 +48,7 @@ use rprism::{
     AnchoredDiffOptions, DiffAlgorithm, Engine, LcsDiffOptions, PreparedTrace, RegressionInput,
     ViewsDiffOptions, Watch,
 };
-use rprism_format::frame::{read_frame, write_frame};
+use rprism_format::frame::{frame_to_bytes, read_frame};
 use rprism_format::{TailBatch, TailDecoder};
 use rprism_obs::{Counter, Obs};
 
@@ -315,9 +315,7 @@ impl Server {
         let busy = Response::Busy {
             retry_after_ms: self.busy_retry_ms,
         };
-        let mut frame = Vec::new();
-        let _ = write_frame(&mut frame, &busy.encode());
-        let _ = stream.write_all(&frame);
+        let _ = stream.write_all(&frame_to_bytes(&busy.encode()));
         self.repo.shrink_cache(self.cache_low_watermark);
     }
 }
@@ -456,7 +454,7 @@ impl Worker {
             let response = match Request::decode(&payload) {
                 Ok(request) => {
                     let is_shutdown = matches!(request, Request::Shutdown);
-                    let kind = request_span_name(&request);
+                    let kind = request.span_name();
                     // Per-request span + phase scope: the handler's inner spans
                     // (repo I/O, pipeline phases) accumulate into this thread's
                     // scope, which the slow-request log drains into its breakdown.
@@ -730,25 +728,6 @@ impl Worker {
     }
 }
 
-/// The `request.*` span name of a request kind — the top level of the span
-/// taxonomy (each handler's inner spans nest under it in the self-trace).
-fn request_span_name(request: &Request) -> &'static str {
-    match request {
-        Request::Put { .. } => "request.put",
-        Request::Get { .. } => "request.get",
-        Request::List => "request.list",
-        Request::Diff { .. } => "request.diff",
-        Request::Analyze { .. } => "request.analyze",
-        Request::Check { .. } => "request.check",
-        Request::WatchStart { .. } => "request.watch_start",
-        Request::PutStream { .. } => "request.put_stream",
-        Request::Stats => "request.stats",
-        Request::Shutdown => "request.shutdown",
-        Request::Metrics => "request.metrics",
-        Request::ObsTrace => "request.obs_trace",
-    }
-}
-
 /// Formats one structured `slow-request` line: the request kind, its total handler
 /// time, and every phase the handler recorded (`key=value` pairs, one line, grep-
 /// and split-friendly). The request's own span is elided — it duplicates `total_us`.
@@ -770,9 +749,7 @@ fn log_slow_request(kind: &str, elapsed: Duration, phases: &[(&'static str, u64)
 /// memory first, so a partial transport write can never emit a torn prefix that
 /// looks like the start of a valid frame followed by silence).
 fn write_response<C: Conn>(stream: &mut C, response: &Response) -> Result<()> {
-    let mut frame = Vec::new();
-    write_frame(&mut frame, &response.encode()).map_err(ServerError::Proto)?;
-    stream.write_all(&frame)?;
+    stream.write_all(&frame_to_bytes(&response.encode()))?;
     stream.flush()?;
     Ok(())
 }
@@ -888,9 +865,7 @@ mod tests {
     }
 
     fn framed(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_frame(&mut out, payload).unwrap();
-        out
+        frame_to_bytes(payload)
     }
 
     #[test]

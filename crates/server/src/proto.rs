@@ -6,6 +6,20 @@
 //! the payload opens with the protocol version byte and a message tag, followed by the
 //! message fields in the same primitive vocabulary the binary trace encoding uses.
 //!
+//! The protocol is a strict request/response alternation per connection: the client
+//! writes one request frame, the server answers with exactly one response frame, and
+//! either side may close between exchanges. Malformed input never kills the server —
+//! an undecodable frame or message is answered with [`Response::Error`] (and the
+//! connection closed when the stream itself can no longer be trusted, e.g. after a
+//! checksum mismatch).
+//!
+//! Results cross the wire in **canonical, process-independent form**: matchings as
+//! normalized index pairs, difference sequences as index lists, and
+//! [`DiffSignature`]s with their interned symbols spelled back out as strings
+//! ([`WireSignature`]) — the client re-interns them into its own process and obtains
+//! signatures equal to what a local analysis of the same traces would produce. The
+//! `remote_equivalence` integration suite pins exactly that.
+//!
 //! # The codec
 //!
 //! Each wire message is described once. One `Wire` trait pairs `put` with `get`,
@@ -40,20 +54,6 @@
 //! **Adding a message** takes one table row — tag, `since` version, span name for a
 //! request, variant and field list — plus a `wire_struct!` field list for any new
 //! struct it carries. Bump [`PROTO_VERSION`] when the row adds a tag.
-//!
-//! The protocol is a strict request/response alternation per connection: the client
-//! writes one request frame, the server answers with exactly one response frame, and
-//! either side may close between exchanges. Malformed input never kills the server —
-//! an undecodable frame or message is answered with [`Response::Error`] (and the
-//! connection closed when the stream itself can no longer be trusted, e.g. after a
-//! checksum mismatch).
-//!
-//! Results cross the wire in **canonical, process-independent form**: matchings as
-//! normalized index pairs, difference sequences as index lists, and
-//! [`DiffSignature`]s with their interned symbols spelled back out as strings
-//! ([`WireSignature`]) — the client re-interns them into its own process and obtains
-//! signatures equal to what a local analysis of the same traces would produce. The
-//! `remote_equivalence` integration suite pins exactly that.
 
 use rprism::check::{rules, Diagnostic};
 use rprism::{
